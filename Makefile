@@ -2,12 +2,13 @@
 # test suite under the Go race detector (the kernel-execution engine and
 # the bench harness are concurrent; -race keeps them honest), a
 # benchmark smoke run diffed against the committed baseline, a short
-# fuzz pass over the front end, and the fault-model output invariant
-# checked across the benchmark suite.
+# fuzz pass over the front end, the fault-model output invariant
+# checked across the benchmark suite, the analysis and service gates,
+# and the host-time benchmark's self-tests.
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck test race bench benchsmoke baseline baseline-async overlap fuzzsmoke resilience critpath runlog servegate soak ci
+.PHONY: all build vet fmtcheck test race bench benchsmoke baseline baseline-async overlap fuzzsmoke resilience critpath runlog servegate soak perfbench-selftest ci
 
 all: build
 
@@ -28,9 +29,13 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Host-side engine speedup: compare workers=1 vs workers=N.
+# Host-side engine speedup (workers=1 vs workers=N), then the
+# interpreter's layer benchmarks: dispatch (int/float arithmetic,
+# branches, calls) and the memory path (inline-cache hits, generation-
+# bump misses, inspector recording, kernel allocas), five samples each.
 bench:
 	$(GO) test -bench 'BenchmarkEngine$$' -benchtime 3x ./internal/bench/
+	$(GO) test -run NONE -bench 'Dispatch|Memory' -benchtime 5x -count 5 ./internal/interp/
 
 # Run the full suite and fail on any >25% simulated-wall regression
 # against the committed baseline. The simulation is deterministic, so a
@@ -94,4 +99,10 @@ servegate:
 soak:
 	CGCM_SOAK=1 $(GO) test -race -timeout 30m -run 'TestSoak' -v ./internal/server/
 
-ci: build fmtcheck vet race benchsmoke overlap fuzzsmoke resilience critpath runlog servegate
+# Self-tests of the host-time benchmark (perfbench/, a module of its
+# own): percentile rule, schedules, checks, and that its metric
+# catalogue matches BENCHMARK.json.
+perfbench-selftest:
+	$(GO) -C perfbench test ./...
+
+ci: build fmtcheck vet race benchsmoke overlap fuzzsmoke resilience critpath runlog servegate perfbench-selftest

@@ -79,7 +79,7 @@ func writeJSON(rows []*bench.Row) (string, error) {
 
 // run is the testable entry point: it parses args and writes to the given
 // streams, returning the process exit code (1 on a failed -compare gate).
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("cgcmbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	t1 := fs.Bool("table1", false, "render Table 1 (applicability comparison)")
@@ -106,6 +106,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cli.PrintVersion(stdout, "cgcmbench")
 		return 0
 	}
+	stopProfiles, ok := runf.StartHostProfiles(stderr, "cgcmbench")
+	if !ok {
+		return 1
+	}
+	defer stopProfiles(&code)
 	bench.Workers = *workers
 	bench.TraceDir = runf.TraceOut
 	bench.Async = runf.Async

@@ -45,7 +45,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the testable entry point: it parses args, compiles, and writes
 // to the given streams, returning the process exit code.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("cgcmc", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	passes := fs.Bool("passes", false, "dump IR after every compilation phase")
@@ -62,6 +62,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cli.PrintVersion(stdout, "cgcmc")
 		return 0
 	}
+	stopProfiles, ok := runf.StartHostProfiles(stderr, "cgcmc")
+	if !ok {
+		return 1
+	}
+	defer stopProfiles(&code)
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "usage: cgcmc [-passes] [-phases] [-strategy s] [-ablate passes] [-remarks] file.c")
 		return 2

@@ -56,7 +56,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the testable entry point: it parses args, compiles and executes,
 // and writes to the given streams, returning the process exit code.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("cgcmrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	strategy := fs.String("strategy", "opt", "sequential | inspector | unopt | opt")
@@ -73,6 +73,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cli.PrintVersion(stdout, "cgcmrun")
 		return 0
 	}
+	stopProfiles, ok := runf.StartHostProfiles(stderr, "cgcmrun")
+	if !ok {
+		return 1
+	}
+	defer stopProfiles(&code)
 	faultSpec, perr := runf.FaultSpec()
 	if perr != nil {
 		fmt.Fprintf(stderr, "cgcmrun: -faults: %v\n", perr)

@@ -108,3 +108,30 @@ func TestUnknownStrategyRejected(t *testing.T) {
 		t.Fatalf("exit %d, want 2", code)
 	}
 }
+
+// TestHostProfileFlags: -cpuprofile and -memprofile write pprof
+// profiles (gzip-compressed protobuf) of the host process, and a
+// profile that cannot be created fails the command.
+func TestHostProfileFlags(t *testing.T) {
+	path := writeDemo(t)
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-cpuprofile", cpu, "-memprofile", mem, path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	for _, p := range []string{cpu, mem} {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Errorf("%s: %d bytes, not a gzip-compressed profile", filepath.Base(p), len(data))
+		}
+	}
+	stderr.Reset()
+	bad := filepath.Join(dir, "missing", "cpu.pprof")
+	if code := run([]string{"-cpuprofile", bad, path}, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "-cpuprofile") {
+		t.Errorf("unwritable -cpuprofile: exit %d, stderr %q", code, stderr.String())
+	}
+}

@@ -59,7 +59,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the testable entry point.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("cgcmstat", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	whatif := fs.String("whatif", "", "replay one scenario: zero-comm | gpu-2x | perfect-overlap | identity (default: all)")
@@ -80,6 +80,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cli.PrintVersion(stdout, "cgcmstat")
 		return 0
 	}
+	stopProfiles, ok := runf.StartHostProfiles(stderr, "cgcmstat")
+	if !ok {
+		return 1
+	}
+	defer stopProfiles(&code)
 	spec, perr := runf.FaultSpec()
 	if perr != nil {
 		fmt.Fprintf(stderr, "cgcmstat: -faults: %v\n", perr)

@@ -90,12 +90,13 @@ int main() {
 			Feature: "pointer arithmetic",
 			Source: `
 // The kernel receives a pointer into the middle of an allocation unit
-// and walks it with arbitrary arithmetic.
+// and walks it with arbitrary arithmetic. Threads read v[7..23] and
+// write v[33..46], so no thread reads what another writes.
 __global__ void smooth(float *mid, int n) {
 	int i = tid();
 	if (i > 0 && i < n - 1) {
 		float *p = mid + i - 8;
-		p[0] = 0.5 * (*(p - 1) + *(p + 1));
+		p[24] = 0.5 * (*(p - 1) + *(p + 1));
 	}
 }
 int main() {
@@ -182,13 +183,13 @@ func RunTable1() ([]Table1Result, error) {
 		// Reference semantics: the idealized inspector-executor runs the
 		// kernels against host memory, which is exactly "what the program
 		// means" independent of communication management.
-		seq, err := core.CompileAndRun(fp.Feature, fp.Source, core.Options{Strategy: core.InspectorExecutor, Ablate: core.PassSet{core.PassDOALL: true}})
+		seq, err := core.CompileAndRun(fp.Feature, fp.Source, core.Options{Strategy: core.InspectorExecutor, Ablate: core.PassSet{core.PassDOALL: true}, Workers: Workers})
 		if err != nil {
 			return nil, fmt.Errorf("%s reference: %w", fp.Feature, err)
 		}
 		res := Table1Result{Feature: fp.Feature, Passed: true}
 		for _, s := range []core.Strategy{core.CGCMUnoptimized, core.CGCMOptimized} {
-			rep, err := core.CompileAndRun(fp.Feature, fp.Source, core.Options{Strategy: s, Ablate: core.PassSet{core.PassDOALL: true}})
+			rep, err := core.CompileAndRun(fp.Feature, fp.Source, core.Options{Strategy: s, Ablate: core.PassSet{core.PassDOALL: true}, Workers: Workers})
 			if err != nil {
 				res.Passed = false
 				res.Detail = err.Error()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cgcm/internal/bench"
+	"cgcm/internal/core"
 )
 
 func TestTable1FeatureProgramsPass(t *testing.T) {
@@ -19,6 +20,25 @@ func TestTable1FeatureProgramsPass(t *testing.T) {
 	for _, r := range results {
 		if !r.Passed {
 			t.Errorf("%s: %s", r.Feature, r.Detail)
+		}
+	}
+	// Every feature program must be deterministic on a parallel engine:
+	// a kernel whose threads read what other threads write would print
+	// different results for different worker counts.
+	for _, fp := range bench.FeaturePrograms() {
+		for _, s := range []core.Strategy{core.CGCMUnoptimized, core.CGCMOptimized} {
+			var outs [2]string
+			for i, w := range []int{1, 4} {
+				rep, err := core.CompileAndRun(fp.Feature, fp.Source, core.Options{
+					Strategy: s, Ablate: core.PassSet{core.PassDOALL: true}, Workers: w})
+				if err != nil {
+					t.Fatalf("%s [%s] workers=%d: %v", fp.Feature, s, w, err)
+				}
+				outs[i] = rep.Output
+			}
+			if outs[0] != outs[1] {
+				t.Errorf("%s [%s]: output differs between 1 and 4 workers:\n%q\n%q", fp.Feature, s, outs[0], outs[1])
+			}
 		}
 	}
 	var buf bytes.Buffer

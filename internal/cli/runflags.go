@@ -3,6 +3,11 @@ package cli
 import (
 	"context"
 	"flag"
+	"fmt"
+	"io"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"cgcm/internal/faultinject"
@@ -29,6 +34,8 @@ type RunFlags struct {
 	Async         bool
 	Runlog        string
 	Timeout       time.Duration
+	CPUProfile    string
+	MemProfile    string
 	Version       bool
 }
 
@@ -51,6 +58,8 @@ func AddRunFlags(fs *flag.FlagSet) *RunFlags {
 	fs.BoolVar(&rf.Async, "async", false, "overlap communication with compute: stream transfers, prefetched maps, overlapped flushes")
 	fs.StringVar(&rf.Runlog, "runlog", "", "append a durable run record to this store directory (cgcmstat default: .cgcm/runs)")
 	fs.DurationVar(&rf.Timeout, "timeout", 0, "abort the run after this host duration (e.g. 30s); the run stops at the next kernel-launch boundary with a typed error (0 = no limit)")
+	fs.StringVar(&rf.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of this process (host time, not simulated time) to file")
+	fs.StringVar(&rf.MemProfile, "memprofile", "", "write a pprof heap profile of this process to file when the command ends")
 	fs.BoolVar(&rf.Version, "version", false, "print build identity (module version, VCS revision) and exit")
 	return rf
 }
@@ -77,4 +86,58 @@ func (rf *RunFlags) FaultSpec() (*faultinject.Spec, error) {
 		return nil, nil
 	}
 	return faultinject.ParseSpec(rf.Faults)
+}
+
+// StartHostProfiles starts the -cpuprofile profiler. The returned stop
+// function ends it and writes the -memprofile heap profile; commands
+// defer it with their exit code, which it turns to 1 when a profile
+// cannot be written. Errors are reported on stderr as "<cmd>: ...";
+// ok is false when the CPU profile could not be started.
+func (rf *RunFlags) StartHostProfiles(stderr io.Writer, cmd string) (stop func(code *int), ok bool) {
+	var cpu *os.File
+	if rf.CPUProfile != "" {
+		f, err := os.Create(rf.CPUProfile)
+		if err == nil {
+			if err = pprof.StartCPUProfile(f); err != nil {
+				f.Close()
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: -cpuprofile: %v\n", cmd, err)
+			return nil, false
+		}
+		cpu = f
+	}
+	return func(code *int) {
+		fail := func(flag string, err error) {
+			fmt.Fprintf(stderr, "%s: %s: %v\n", cmd, flag, err)
+			if *code == 0 {
+				*code = 1
+			}
+		}
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fail("-cpuprofile", err)
+			}
+		}
+		if rf.MemProfile != "" {
+			if err := writeHeapProfile(rf.MemProfile); err != nil {
+				fail("-memprofile", err)
+			}
+		}
+	}, true
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the profile reports the heap as of the last GC
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

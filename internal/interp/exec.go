@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 
 	"cgcm/internal/ir"
 	"cgcm/internal/machine"
@@ -35,50 +36,78 @@ type inspectState struct {
 	touched map[uint64]bool
 	wrote   map[uint64]bool
 	acc     int64
+	// [unitBase, unitEnd) is the allocation unit of the last recorded
+	// access; unitWrote says it is already in wrote. Consecutive accesses
+	// to one unit skip the runtime lookup and the map writes.
+	unitBase, unitEnd uint64
+	unitWrote         bool
+}
+
+// profFunc holds one context's exact-profiler counters for one
+// function, indexed by pc: runs counts how often the segment ending at
+// each charge point ran; extra holds ops charged outside a segment (call
+// and intrinsic costs, fresh allocas, the executed prefix of a segment
+// that faulted).
+type profFunc struct {
+	cf          *compiledFunc
+	runs, extra []int64
 }
 
 // exec is one execution context. The interpreter's root context runs CPU
-// code exactly as the sequential interpreter did; each kernel launch
-// borrows additional worker contexts (one per host core) that execute
-// disjoint chunks of the thread space concurrently. Everything a thread
-// mutates during execution lives here, so workers share only read-only
-// state: the module, the compiled-function cache, and the machine's
-// segment tree.
+// code; each kernel launch borrows additional worker contexts (one per
+// host core) that execute disjoint chunks of the thread space
+// concurrently. Everything a thread mutates during execution lives here,
+// so workers share only read-only state: the module, the compiled code,
+// and the machine's segment tree.
 type exec struct {
 	in *Interp
 
 	// budget is the context's remaining share of the step pool.
 	budget int64
 
-	depth      int
-	rng        uint64
-	pendingOps int64 // root context only: unflushed CPU op charges
-	out        io.Writer
+	depth int
+	rng   uint64
+	// ops is the root context's unflushed CPU op charge, and a worker's
+	// op count for the thread it is running.
+	ops int64
+	out io.Writer
 
-	// worker marks contexts that execute kernel chunks; they resolve
+	// worker marks contexts that execute kernel threads; they resolve
 	// memory through lock-free lookups and private caches.
 	worker bool
 	id     int // worker index, selects the scratch arena
 
-	// profCounts holds this context's per-instruction op counters when
-	// exact profiling is on, mirroring the caches layout. Counters are
-	// folded into the interpreter's collector (and zeroed) after every
-	// launch barrier, so they always belong to exactly one kernel. nil
-	// whenever Interp.Prof is nil — the hot path then only pays one
-	// nil check per counted site.
-	profCounts map[*compiledFunc][][]int64
+	// Launch-scoped state of a worker: the thread being run, the grid
+	// size, the call depth threads start at, and the address space the
+	// threads may touch (GPU for managed launches, CPU for inspector and
+	// CPU-fallback launches). The root context's space is CPU.
+	tid, ntid   int64
+	launchDepth int
+	space       machine.Space
 
-	// caches holds this worker's per-instruction inline caches, the
-	// concurrency-safe equivalent of compiledFunc.segCaches.
-	caches   map[*compiledFunc][][]segCache
+	// prof holds per-function op counters, indexed by compiled-function
+	// id, while a worker runs a launch with exact profiling on. Counters
+	// are folded into the interpreter's collector (and zeroed) after
+	// every launch barrier, so they always belong to exactly one kernel.
+	// nil whenever Interp.Prof is nil — the hot path then only pays one
+	// nil check per charge point.
+	prof      []*profFunc
+	profiling bool
+
+	// caches holds this context's per-instruction inline caches, indexed
+	// by compiled-function id then pc.
+	caches   [][]segCache
 	segCache [4]*machine.Segment
 	segIdx   uint8
 	cacheGen uint64
 
-	// scratch stack allocator for kernel allocas (worker contexts).
+	// Scratch stack allocator for kernel allocas (workers): the first
+	// nscratch entries of scratchSegs are live, the rest are kept for
+	// reuse.
 	scratchBase uint64
 	scratchNext uint64
 	scratchSegs []*machine.Segment
+	nscratch    int
 
 	// insp is non-nil while running an inspector-mode chunk.
 	insp *inspectState
@@ -95,6 +124,17 @@ type exec struct {
 	frames []*frame // frame free list
 }
 
+type frame struct {
+	cf *compiledFunc
+	// regs holds every slot of the function (see compile.go).
+	regs    []uint64
+	allocas []uint64 // CPU-frame allocation unit bases (root context only)
+	// scratchMark/scratchLen snapshot the worker scratch allocator at
+	// frame entry so popAllocas can unwind kernel allocas in O(1).
+	scratchMark uint64
+	scratchLen  int
+}
+
 // Write implements io.Writer for worker contexts: kernel-side output is
 // buffered per chunk and replayed in thread order after the barrier.
 func (ex *exec) Write(p []byte) (int, error) {
@@ -107,15 +147,19 @@ func (ex *exec) Write(p []byte) (int, error) {
 // beginLaunch prepares a worker context for one kernel launch. hostMem
 // places scratch in CPU space (inspector and CPU-fallback launches);
 // inspect additionally turns on touch-set recording.
-func (ex *exec) beginLaunch(hostMem, inspect bool, depth int) {
+func (ex *exec) beginLaunch(hostMem, inspect bool, depth int, threads int64) {
 	if hostMem {
+		ex.space = machine.CPU
 		ex.scratchBase = machine.GPUBase - uint64(ex.id+1)*scratchStride
 	} else {
+		ex.space = machine.GPU
 		ex.scratchBase = gpuScratchBase + uint64(ex.id)*scratchStride
 	}
 	ex.scratchNext = ex.scratchBase
-	ex.scratchSegs = ex.scratchSegs[:0]
-	ex.depth = depth
+	ex.popScratch(0)
+	ex.depth, ex.launchDepth = depth, depth
+	ex.ntid = threads
+	ex.profiling = ex.in.Prof != nil
 	ex.totalOps, ex.maxOps = 0, 0
 	for i := range ex.segCache {
 		ex.segCache[i] = nil
@@ -126,7 +170,7 @@ func (ex *exec) beginLaunch(hostMem, inspect bool, depth int) {
 		} else {
 			clear(ex.insp.touched)
 			clear(ex.insp.wrote)
-			ex.insp.acc = 0
+			*ex.insp = inspectState{touched: ex.insp.touched, wrote: ex.insp.wrote}
 		}
 	} else {
 		ex.insp = nil
@@ -191,51 +235,37 @@ func (ex *exec) refillSteps() bool {
 	return true
 }
 
+// flushOps hands the root context's pending CPU ops to the machine.
+// Workers count ops per thread instead, so for them it is a no-op.
 func (ex *exec) flushOps() {
-	if ex.pendingOps > 0 {
-		ex.in.Mach.CPUOps(ex.pendingOps)
-		ex.pendingOps = 0
-	}
-}
-
-func (ex *exec) chargeWork(fr *frame, n int64) {
-	if n == 0 {
-		return
-	}
-	if fr.gpu != nil {
-		*fr.gpu.ops += n
-	} else {
-		ex.pendingOps += n
+	if !ex.worker && ex.ops > 0 {
+		ex.in.Mach.CPUOps(ex.ops)
+		ex.ops = 0
 	}
 }
 
 // getFrame takes a frame from the free list (or allocates one) and
-// resets it for fn: registers zeroed, alloca bookkeeping cleared.
-func (ex *exec) getFrame(fn *ir.Func, cf *compiledFunc, gpu *gpuCtx) *frame {
+// resets every slot from cf's image for this context's address space.
+func (ex *exec) getFrame(cf *compiledFunc) *frame {
 	var fr *frame
 	if n := len(ex.frames); n > 0 {
 		fr = ex.frames[n-1]
 		ex.frames = ex.frames[:n-1]
-		if cap(fr.regs) < fn.NumRegs {
-			fr.regs = make([]uint64, fn.NumRegs)
-		} else {
-			fr.regs = fr.regs[:fn.NumRegs]
-			for i := range fr.regs {
-				fr.regs[i] = 0
-			}
-		}
-		clear(fr.allocaCache)
 		fr.allocas = fr.allocas[:0]
 	} else {
-		fr = &frame{regs: make([]uint64, fn.NumRegs)}
+		fr = &frame{}
 	}
-	fr.fn, fr.cf, fr.gpu = fn, cf, gpu
+	img := cf.initCPU
+	if ex.space == machine.GPU {
+		img = cf.initGPU
+	}
+	if cap(fr.regs) < len(img) {
+		fr.regs = make([]uint64, len(img))
+	}
+	fr.regs = fr.regs[:len(img)]
+	copy(fr.regs, img)
+	fr.cf = cf
 	return fr
-}
-
-func (ex *exec) putFrame(fr *frame) {
-	fr.gpu = nil
-	ex.frames = append(ex.frames, fr)
 }
 
 // inScratch reports whether addr falls in this worker's scratch arena.
@@ -243,8 +273,9 @@ func (ex *exec) inScratch(addr uint64) bool {
 	return ex.worker && addr-ex.scratchBase < scratchStride
 }
 
-// allocScratch carves a kernel alloca out of the worker's private arena.
-func (ex *exec) allocScratch(size int64, space machine.Space, name string) (uint64, error) {
+// allocScratch carves a kernel alloca out of the worker's private arena,
+// reusing a retired scratch segment (with zeroed data) when one is free.
+func (ex *exec) allocScratch(size int64, name string) (uint64, error) {
 	if size <= 0 {
 		size = 1
 	}
@@ -254,10 +285,29 @@ func (ex *exec) allocScratch(size int64, space machine.Space, name string) (uint
 		return 0, fmt.Errorf("kernel scratch arena exhausted (%d bytes requested)", size)
 	}
 	ex.scratchNext = next
-	ex.scratchSegs = append(ex.scratchSegs, &machine.Segment{
-		Base: base, Data: make([]byte, size), Space: space, Name: name,
-	})
+	if ex.nscratch == len(ex.scratchSegs) {
+		ex.scratchSegs = append(ex.scratchSegs, new(machine.Segment))
+	}
+	s := ex.scratchSegs[ex.nscratch]
+	ex.nscratch++
+	if int64(cap(s.Data)) >= size {
+		s.Data = s.Data[:size]
+		clear(s.Data)
+	} else {
+		s.Data = make([]byte, size)
+	}
+	s.Base, s.Space, s.Name = base, ex.space, name
 	return base, nil
+}
+
+// popScratch retires the scratch segments past the first n. A retired
+// segment keeps its buffer for reuse but no bytes, so an inline cache
+// still pointing at it misses instead of reading a dead local.
+func (ex *exec) popScratch(n int) {
+	for _, s := range ex.scratchSegs[n:ex.nscratch] {
+		s.Data = s.Data[:0]
+	}
+	ex.nscratch = n
 }
 
 // lookupSeg resolves addr for a worker context: scratch first (private,
@@ -265,7 +315,7 @@ func (ex *exec) allocScratch(size int64, space machine.Space, name string) (uint
 // cache, then a lock-free walk of the shared tree.
 func (ex *exec) lookupSeg(addr uint64) *machine.Segment {
 	if addr-ex.scratchBase < scratchStride {
-		for i := len(ex.scratchSegs) - 1; i >= 0; i-- {
+		for i := ex.nscratch - 1; i >= 0; i-- {
 			if s := ex.scratchSegs[i]; addr >= s.Base && addr < s.End() {
 				return s
 			}
@@ -323,59 +373,79 @@ func (ex *exec) segForAccess(addr uint64, size int64) (*machine.Segment, error) 
 	return seg, nil
 }
 
-// memLoad is the general memory read used by intrinsics (strlen and
-// friends); the interpreter loop has its own inlined copy of this path.
-func (ex *exec) memLoad(fr *frame, addr uint64, size int64) (uint64, error) {
-	if err := ex.checkSpace(fr, addr, false); err != nil {
-		return 0, err
+// resolve is the uncached access path: address-space check, then the
+// segment lookup.
+func (ex *exec) resolve(cf *compiledFunc, addr uint64, size int64, write bool) (*machine.Segment, error) {
+	if err := ex.checkSpace(cf, addr, write); err != nil {
+		return nil, err
 	}
-	ex.recordInspect(addr, false)
 	seg, err := ex.segForAccess(addr, size)
 	if err != nil {
-		return 0, &Error{Fn: fr.fn.Name, Msg: err.Error()}
+		return nil, &Error{Fn: cf.fn.Name, Msg: err.Error()}
+	}
+	return seg, nil
+}
+
+// loadSlow is a load that missed its inline cache; it refills the cache.
+// Scratch segments are cached too: a popped one keeps no bytes (see
+// popAllocas), so a cache entry can only ever hit a live allocation.
+func (ex *exec) loadSlow(cf *compiledFunc, sc *segCache, addr uint64, size int64) (uint64, error) {
+	seg, err := ex.resolve(cf, addr, size, false)
+	if err != nil {
+		return 0, err
+	}
+	v, _ := seg.Load(addr, size)
+	*sc = segCache{seg: seg, gen: ex.in.Mach.Gen()}
+	return v, nil
+}
+
+// storeSlow is a store that missed its inline cache.
+func (ex *exec) storeSlow(cf *compiledFunc, sc *segCache, addr uint64, size int64, val uint64) error {
+	seg, err := ex.resolve(cf, addr, size, true)
+	if err != nil {
+		return err
+	}
+	seg.Store(addr, size, val)
+	*sc = segCache{seg: seg, gen: ex.in.Mach.Gen()}
+	if ex.race != nil && !ex.inScratch(addr) {
+		ex.race.record(addr, size)
+	}
+	return nil
+}
+
+// memLoad is the general memory read used by intrinsics (strlen and
+// friends); the interpreter loop has its own inlined copy of this path.
+func (ex *exec) memLoad(cf *compiledFunc, addr uint64, size int64) (uint64, error) {
+	if err := ex.checkSpace(cf, addr, false); err != nil {
+		return 0, err
+	}
+	if ex.insp != nil {
+		ex.recordInspect(addr, false)
+	}
+	seg, err := ex.segForAccess(addr, size)
+	if err != nil {
+		return 0, &Error{Fn: cf.fn.Name, Msg: err.Error()}
 	}
 	v, _ := seg.Load(addr, size)
 	return v, nil
 }
 
-func (ex *exec) evalOp(fr *frame, op *operand) uint64 {
-	switch op.kind {
-	case opConst:
-		return op.bits
-	case opReg:
-		return fr.regs[op.reg]
-	default:
-		if fr.gpu != nil && !fr.gpu.hostMem {
-			return ex.in.devAddr[op.g]
-		}
-		return ex.in.globalAddr[op.g]
-	}
-}
-
 // checkSpace validates that an access belongs to the executing context's
 // address space.
-func (ex *exec) checkSpace(fr *frame, addr uint64, write bool) error {
-	space := machine.SpaceOf(addr)
-	if fr.gpu != nil && !fr.gpu.hostMem {
-		if space != machine.GPU {
-			what := "read"
-			if write {
-				what = "write"
-			}
-			return &Error{Fn: fr.fn.Name, Msg: fmt.Sprintf(
-				"GPU kernel %s of CPU address %#x (missing or incorrect communication management)", what, addr)}
-		}
+func (ex *exec) checkSpace(cf *compiledFunc, addr uint64, write bool) error {
+	if machine.SpaceOf(addr) == ex.space {
 		return nil
 	}
-	if space != machine.CPU {
-		what := "read"
-		if write {
-			what = "write"
-		}
-		return &Error{Fn: fr.fn.Name, Msg: fmt.Sprintf(
-			"CPU %s of GPU address %#x (stale translation or missing unmap)", what, addr)}
+	what := "read"
+	if write {
+		what = "write"
 	}
-	return nil
+	if ex.space == machine.GPU {
+		return &Error{Fn: cf.fn.Name, Msg: fmt.Sprintf(
+			"GPU kernel %s of CPU address %#x (missing or incorrect communication management)", what, addr)}
+	}
+	return &Error{Fn: cf.fn.Name, Msg: fmt.Sprintf(
+		"CPU %s of GPU address %#x (stale translation or missing unmap)", what, addr)}
 }
 
 // recordInspect notes one inspector-mode memory access. Scratch
@@ -383,10 +453,14 @@ func (ex *exec) checkSpace(fr *frame, addr uint64, write bool) error {
 // never transferred, so they are not recorded.
 func (ex *exec) recordInspect(addr uint64, write bool) {
 	st := ex.insp
-	if st == nil {
+	st.acc++
+	if addr-st.unitBase < st.unitEnd-st.unitBase {
+		if write && !st.unitWrote {
+			st.wrote[st.unitBase] = true
+			st.unitWrote = true
+		}
 		return
 	}
-	st.acc++
 	if addr-ex.scratchBase < scratchStride {
 		return
 	}
@@ -395,73 +469,87 @@ func (ex *exec) recordInspect(addr uint64, write bool) {
 		if write {
 			st.wrote[info.Base] = true
 		}
+		st.unitBase, st.unitEnd, st.unitWrote = info.Base, info.Base+uint64(info.Size), write
 	}
 }
 
-// profBlock returns this context's per-instruction op counters for one
-// block, allocating lazily (same shape as the worker inline caches).
-// Only called when profiling is enabled, so the disabled path never
-// touches it.
-func (ex *exec) profBlock(cf *compiledFunc, blkIndex int) []int64 {
-	if ex.profCounts == nil {
-		ex.profCounts = make(map[*compiledFunc][][]int64)
+// profFor returns this context's op counters for cf, allocating lazily.
+// Only called while profiling, so the disabled path never touches it.
+func (ex *exec) profFor(cf *compiledFunc) *profFunc {
+	if cf.id >= len(ex.prof) {
+		ex.prof = append(ex.prof, make([]*profFunc, cf.id+1-len(ex.prof))...)
 	}
-	pc, ok := ex.profCounts[cf]
-	if !ok {
-		pc = make([][]int64, len(cf.blockArgs))
-		ex.profCounts[cf] = pc
+	pf := ex.prof[cf.id]
+	if pf == nil {
+		pf = &profFunc{cf: cf, runs: make([]int64, len(cf.code)), extra: make([]int64, len(cf.code))}
+		ex.prof[cf.id] = pf
 	}
-	if pc[blkIndex] == nil {
-		pc[blkIndex] = make([]int64, len(cf.blockArgs[blkIndex]))
-	}
-	return pc[blkIndex]
+	return pf
 }
 
-// foldProf credits every accumulated per-instruction op count to its
-// source line under (kernel, site) and zeroes the counters. Called on
-// the launch goroutine after the worker barrier, so no context is
-// concurrently counting.
+// foldProf credits every accumulated op count to its source line under
+// (kernel, site) and zeroes the counters. A segment's runs expand into
+// each of its instructions' static costs. Called on the launch goroutine
+// after the worker barrier, so no context is concurrently counting.
 func (ex *exec) foldProf(col *prof.Collector, kernel string, site int) {
-	for cf, blocks := range ex.profCounts {
-		for bi, counts := range blocks {
-			if counts == nil {
-				continue
+	for _, pf := range ex.prof {
+		if pf == nil {
+			continue
+		}
+		cf := pf.cf
+		seg := 0
+		for pc, c := range cf.code {
+			if c.steps > 0 {
+				seg = pc
 			}
-			lines := cf.lines[bi]
-			for ii, n := range counts {
-				if n != 0 {
-					col.AddKernelOps(kernel, site, int(lines[ii]), n)
-					counts[ii] = 0
+			if k := pf.runs[pc]; k != 0 {
+				for j := seg; j <= pc; j++ {
+					pf.extra[j] += k * cf.code[j].op.cost()
 				}
+				pf.runs[pc] = 0
+			}
+		}
+		for pc, n := range pf.extra {
+			if n != 0 {
+				col.AddKernelOps(kernel, site, int(cf.lines[pc]), n)
+				pf.extra[pc] = 0
 			}
 		}
 	}
 }
 
-// blockCaches returns the per-instruction inline caches for blk. The
-// root context uses the compiledFunc's own storage (as the sequential
-// interpreter did); workers keep private copies so concurrent chunks
-// never write to shared cache lines.
-func (ex *exec) blockCaches(cf *compiledFunc, blkIndex int) []segCache {
-	if !ex.worker {
-		return cf.segCaches[blkIndex]
+// cachesFor returns this context's inline caches for cf, one per pc.
+// Each context has its own, so concurrent workers never write to shared
+// cache lines.
+func (ex *exec) cachesFor(cf *compiledFunc) []segCache {
+	if cf.id >= len(ex.caches) {
+		ex.caches = append(ex.caches, make([][]segCache, cf.id+1-len(ex.caches))...)
 	}
-	if ex.caches == nil {
-		ex.caches = make(map[*compiledFunc][][]segCache)
+	sc := ex.caches[cf.id]
+	if sc == nil {
+		sc = make([]segCache, len(cf.code))
+		ex.caches[cf.id] = sc
 	}
-	sc, ok := ex.caches[cf]
-	if !ok {
-		sc = make([][]segCache, len(cf.segCaches))
-		for i := range sc {
-			sc[i] = make([]segCache, len(cf.segCaches[i]))
-		}
-		ex.caches[cf] = sc
-	}
-	return sc[blkIndex]
+	return sc
 }
 
-// call executes f with argument bits, returning the result bits.
-func (ex *exec) call(f *ir.Func, args []uint64, gpu *gpuCtx) (uint64, error) {
+// call executes cf with argument bits, returning the result bits.
+func (ex *exec) call(cf *compiledFunc, args []uint64) (uint64, error) {
+	fr, err := ex.enter(cf)
+	if err != nil {
+		return 0, err
+	}
+	for i, r := range cf.params {
+		if i < len(args) {
+			fr.regs[r] = args[i]
+		}
+	}
+	return ex.invoke(fr)
+}
+
+// enter pushes a frame for cf, enforcing the call-depth limit; the
+// caller fills in the parameters and runs it with invoke.
+func (ex *exec) enter(cf *compiledFunc) (*frame, error) {
 	in := ex.in
 	if in.depthLimit == 0 {
 		in.stepLimit = in.maxSteps()
@@ -469,41 +557,30 @@ func (ex *exec) call(f *ir.Func, args []uint64, gpu *gpuCtx) (uint64, error) {
 	}
 	if ex.depth++; ex.depth > in.depthLimit {
 		ex.depth--
-		return 0, &Error{Fn: f.Name, Msg: "call depth limit exceeded"}
+		return nil, &Error{Fn: cf.fn.Name, Msg: "call depth limit exceeded"}
 	}
-	defer func() { ex.depth-- }()
-
-	cf := in.compile(f)
-	fr := ex.getFrame(f, cf, gpu)
-	for i := range f.Params {
-		if i < len(args) {
-			fr.regs[f.Params[i].Reg] = args[i]
-		}
-	}
-	if gpu != nil {
+	fr := ex.getFrame(cf)
+	if ex.worker {
 		fr.scratchMark = ex.scratchNext
-		fr.scratchLen = len(ex.scratchSegs)
+		fr.scratchLen = ex.nscratch
 	}
-	defer func() {
-		ex.popAllocas(fr)
-		ex.putFrame(fr)
-	}()
+	return fr, nil
+}
 
-	blk := f.Entry()
-	for {
-		br, ret, done, err := ex.execBlock(fr, blk)
-		if err != nil || done {
-			return ret, err
-		}
-		blk = br
-	}
+// invoke runs an entered frame to completion and pops it.
+func (ex *exec) invoke(fr *frame) (uint64, error) {
+	ret, err := ex.run(fr)
+	ex.popAllocas(fr)
+	ex.frames = append(ex.frames, fr)
+	ex.depth--
+	return ret, err
 }
 
 func (ex *exec) popAllocas(fr *frame) {
-	if fr.gpu != nil {
+	if ex.worker {
 		// Kernel allocas live in the worker's scratch arena: unwind the
 		// stack allocator to the frame's entry watermark.
-		ex.scratchSegs = ex.scratchSegs[:fr.scratchLen]
+		ex.popScratch(fr.scratchLen)
 		ex.scratchNext = fr.scratchMark
 		return
 	}
@@ -516,213 +593,312 @@ func (ex *exec) popAllocas(fr *frame) {
 	fr.allocas = fr.allocas[:0]
 }
 
-// execBlock runs one basic block and returns the successor (or the return
-// value with done=true).
-func (ex *exec) execBlock(fr *frame, blk *ir.Block) (next *ir.Block, ret uint64, done bool, err error) {
+// alloca creates the allocation unit for a first-executed alloca: kernel
+// scratch on a worker, a tracked CPU unit on the root context.
+func (ex *exec) alloca(fr *frame, c *inst) (uint64, error) {
+	cf := fr.cf
+	if ex.worker {
+		base, err := ex.allocScratch(c.size, cf.kallocaName)
+		if err != nil {
+			return 0, &Error{Fn: cf.fn.Name, Msg: err.Error()}
+		}
+		return base, nil
+	}
 	in := ex.in
-	gpu := fr.gpu
-	blockOps := fr.cf.blockArgs[blk.Index]
-	blockSC := ex.blockCaches(fr.cf, blk.Index)
-	onGPU := gpu != nil && !gpu.hostMem
-	wantSpace := machine.CPU
-	if onGPU {
-		wantSpace = machine.GPU
-	}
-	inspecting := gpu != nil && gpu.inspect
-	// profBlk, when non-nil, receives each instruction's op cost so the
-	// profiler can attribute exact GPU work to source lines.
-	var profBlk []int64
-	if gpu != nil && in.Prof != nil {
-		profBlk = ex.profBlock(fr.cf, blk.Index)
-	}
-	for ii, instr := range blk.Instrs {
-		ops := blockOps[ii]
-		if ex.budget--; ex.budget < 0 {
-			if !ex.refillSteps() {
-				if cerr := in.checkCancel(fr.fn.Name); cerr != nil {
-					return nil, 0, false, cerr
-				}
-				return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: "step limit exceeded (infinite loop?)"}
-			}
-		}
-		cost := int64(1)
-		switch instr.Op {
-		case ir.OpAlloca:
-			if base, ok := fr.allocaCache[instr]; ok {
-				fr.regs[instr.Reg] = base
-				break
-			}
-			var base uint64
-			if gpu != nil {
-				space := machine.GPU
-				name := "kalloca " + fr.fn.Name
-				if gpu.hostMem {
-					space = machine.CPU
-				}
-				var aerr error
-				base, aerr = ex.allocScratch(instr.Size, space, name)
-				if aerr != nil {
-					return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: aerr.Error()}
-				}
-			} else {
-				base = in.Mach.Alloc(machine.CPU, instr.Size, "alloca "+fr.fn.Name)
-				in.RT.SiteLine = int(instr.Line)
-				in.RT.DeclareAlloca(base, instr.Size, "alloca "+fr.fn.Name)
-				fr.allocas = append(fr.allocas, base)
-			}
-			if fr.allocaCache == nil {
-				fr.allocaCache = make(map[*ir.Instr]uint64)
-			}
-			fr.allocaCache[instr] = base
-			fr.regs[instr.Reg] = base
-			cost = 2
+	base := in.Mach.Alloc(machine.CPU, c.size, cf.allocaName)
+	in.RT.SiteLine = int(c.src.Line)
+	in.RT.DeclareAlloca(base, c.size, cf.allocaName)
+	fr.allocas = append(fr.allocas, base)
+	return base, nil
+}
 
-		case ir.OpLoad:
-			addr := ex.evalOp(fr, &ops[0])
-			cost = 3
-			// Inline-cache fast path (not in inspector mode, which must
-			// record every access).
-			if !inspecting {
-				sc := &blockSC[ii]
-				if sc.seg != nil && sc.gen == in.Mach.Gen() && sc.seg.Space == wantSpace {
-					if v, ok := sc.seg.Load(addr, instr.Size); ok {
-						fr.regs[instr.Reg] = v
+// fault ends a segment at pc with err: the instructions before pc are
+// charged their static cost, and steps drawn for instructions after pc
+// (up to stop) go back to the budget, exactly as if every instruction
+// had been charged and stepped one at a time.
+func (ex *exec) fault(cf *compiledFunc, pf *profFunc, seg, pc, stop int32, err error) error {
+	for j := seg; j < pc; j++ {
+		c := cf.code[j].op.cost()
+		ex.ops += c
+		if pf != nil {
+			pf.extra[j] += c
+		}
+	}
+	if r := stop - pc - 1; r > 0 {
+		ex.budget += int64(r)
+	}
+	return err
+}
+
+// run executes fr's function from its entry and returns the result
+// bits. Each segment draws its steps on entry; when the budget and the
+// shared pool cannot cover a whole segment, only the covered prefix runs
+// before the step limit faults, at the instruction a per-instruction
+// count would have stopped at.
+func (ex *exec) run(fr *frame) (uint64, error) {
+	in := ex.in
+	mach := in.Mach
+	cf := fr.cf
+	code := cf.code
+	regs := fr.regs
+	caches := ex.cachesFor(cf)
+	space := ex.space
+	var pf *profFunc
+	if ex.profiling {
+		pf = ex.profFor(cf)
+	}
+	pc := int32(0)
+segments:
+	for {
+		// stop is the first pc whose step is not drawn yet: reaching it
+		// draws the rest of the segment from the budget, refilling the
+		// budget from the shared pool only once it is empty.
+		seg, end := pc, pc+code[pc].steps
+		stop := seg
+		for {
+			if pc == stop {
+				if ex.budget == 0 && !ex.refillSteps() {
+					err := in.checkCancel(cf.fn.Name)
+					if err == nil {
+						err = &Error{Fn: cf.fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+					}
+					return 0, ex.fault(cf, pf, seg, pc, stop, err)
+				}
+				if rest := int64(end - pc); ex.budget >= rest {
+					ex.budget -= rest
+					stop = end
+				} else {
+					stop = pc + int32(ex.budget)
+					ex.budget = 0
+				}
+			}
+			c := &code[pc]
+			switch c.op {
+			case opAlloca:
+				// A cached slot reuses the unit when the same alloca
+				// re-executes in one frame (C scope re-entry semantics;
+				// keeps loop-local declarations from growing the segment
+				// table).
+				if base := regs[c.b]; base != 0 {
+					regs[c.dst] = base
+					break
+				}
+				base, err := ex.alloca(fr, c)
+				if err != nil {
+					return 0, ex.fault(cf, pf, seg, pc, stop, err)
+				}
+				regs[c.b], regs[c.dst] = base, base
+				// A fresh allocation costs one op more.
+				ex.ops++
+				if pf != nil {
+					pf.extra[pc]++
+				}
+
+			case opLoad:
+				addr := regs[c.a]
+				if ex.insp != nil {
+					ex.recordInspect(addr, false)
+				}
+				sc := &caches[pc]
+				if sc.seg != nil && sc.gen == mach.Gen() && sc.seg.Space == space {
+					if v, ok := sc.seg.Load(addr, c.size); ok {
+						regs[c.dst] = v
 						break
 					}
 				}
-			} else {
-				ex.recordInspect(addr, false)
-			}
-			if err := ex.checkSpace(fr, addr, false); err != nil {
-				return nil, 0, false, err
-			}
-			seg, serr := ex.segForAccess(addr, instr.Size)
-			if serr != nil {
-				return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: serr.Error()}
-			}
-			v, _ := seg.Load(addr, instr.Size)
-			fr.regs[instr.Reg] = v
-			if !inspecting && !ex.inScratch(addr) {
-				blockSC[ii] = segCache{seg: seg, gen: in.Mach.Gen()}
-			}
+				v, err := ex.loadSlow(cf, sc, addr, c.size)
+				if err != nil {
+					return 0, ex.fault(cf, pf, seg, pc, stop, err)
+				}
+				regs[c.dst] = v
 
-		case ir.OpStore:
-			addr := ex.evalOp(fr, &ops[0])
-			cost = 3
-			if !inspecting {
-				sc := &blockSC[ii]
-				if sc.seg != nil && sc.gen == in.Mach.Gen() && sc.seg.Space == wantSpace {
-					if sc.seg.Store(addr, instr.Size, ex.evalOp(fr, &ops[1])) {
-						if ex.race != nil {
-							ex.race.record(addr, instr.Size)
-						}
-						break
+			case opStore:
+				addr, val := regs[c.a], regs[c.b]
+				if ex.insp != nil {
+					ex.recordInspect(addr, true)
+				}
+				sc := &caches[pc]
+				if sc.seg != nil && sc.gen == mach.Gen() && sc.seg.Space == space && sc.seg.Store(addr, c.size, val) {
+					if ex.race != nil && !ex.inScratch(addr) {
+						ex.race.record(addr, c.size)
+					}
+					break
+				}
+				if err := ex.storeSlow(cf, sc, addr, c.size, val); err != nil {
+					return 0, ex.fault(cf, pf, seg, pc, stop, err)
+				}
+
+			case opIAdd:
+				regs[c.dst] = regs[c.a] + regs[c.b]
+			case opISub:
+				regs[c.dst] = regs[c.a] - regs[c.b]
+			case opIMul:
+				regs[c.dst] = regs[c.a] * regs[c.b]
+			case opIDiv, opIRem:
+				x, y := int64(regs[c.a]), int64(regs[c.b])
+				if y == 0 {
+					what := "division"
+					if c.op == opIRem {
+						what = "remainder"
+					}
+					return 0, ex.fault(cf, pf, seg, pc, stop, &Error{Fn: cf.fn.Name, Msg: "integer " + what + " by zero"})
+				}
+				if c.op == opIDiv {
+					regs[c.dst] = uint64(x / y)
+				} else {
+					regs[c.dst] = uint64(x % y)
+				}
+			case opAnd:
+				regs[c.dst] = regs[c.a] & regs[c.b]
+			case opOr:
+				regs[c.dst] = regs[c.a] | regs[c.b]
+			case opXor:
+				regs[c.dst] = regs[c.a] ^ regs[c.b]
+			case opShl:
+				regs[c.dst] = regs[c.a] << (regs[c.b] & 63)
+			case opShr:
+				regs[c.dst] = uint64(int64(regs[c.a]) >> (regs[c.b] & 63))
+			case opIEq:
+				regs[c.dst] = b2i(regs[c.a] == regs[c.b])
+			case opINe:
+				regs[c.dst] = b2i(regs[c.a] != regs[c.b])
+			case opILt:
+				regs[c.dst] = b2i(int64(regs[c.a]) < int64(regs[c.b]))
+			case opILe:
+				regs[c.dst] = b2i(int64(regs[c.a]) <= int64(regs[c.b]))
+			case opIGt:
+				regs[c.dst] = b2i(int64(regs[c.a]) > int64(regs[c.b]))
+			case opIGe:
+				regs[c.dst] = b2i(int64(regs[c.a]) >= int64(regs[c.b]))
+
+			case opFAdd:
+				regs[c.dst] = ir.F2B(ir.B2F(regs[c.a]) + ir.B2F(regs[c.b]))
+			case opFSub:
+				regs[c.dst] = ir.F2B(ir.B2F(regs[c.a]) - ir.B2F(regs[c.b]))
+			case opFMul:
+				regs[c.dst] = ir.F2B(ir.B2F(regs[c.a]) * ir.B2F(regs[c.b]))
+			case opFDiv:
+				regs[c.dst] = ir.F2B(ir.B2F(regs[c.a]) / ir.B2F(regs[c.b]))
+			case opFRem:
+				regs[c.dst] = ir.F2B(math.Mod(ir.B2F(regs[c.a]), ir.B2F(regs[c.b])))
+			case opFEq:
+				regs[c.dst] = b2i(ir.B2F(regs[c.a]) == ir.B2F(regs[c.b]))
+			case opFNe:
+				regs[c.dst] = b2i(ir.B2F(regs[c.a]) != ir.B2F(regs[c.b]))
+			case opFLt:
+				regs[c.dst] = b2i(ir.B2F(regs[c.a]) < ir.B2F(regs[c.b]))
+			case opFLe:
+				regs[c.dst] = b2i(ir.B2F(regs[c.a]) <= ir.B2F(regs[c.b]))
+			case opFGt:
+				regs[c.dst] = b2i(ir.B2F(regs[c.a]) > ir.B2F(regs[c.b]))
+			case opFGe:
+				regs[c.dst] = b2i(ir.B2F(regs[c.a]) >= ir.B2F(regs[c.b]))
+
+			case opIToF:
+				regs[c.dst] = ir.F2B(float64(int64(regs[c.a])))
+			case opFToI:
+				regs[c.dst] = uint64(int64(ir.B2F(regs[c.a])))
+
+			case opCall:
+				ex.ops += int64(c.cost)
+				if pf != nil {
+					pf.runs[pc]++
+				}
+				callee, err := ex.enter(c.callee)
+				if err != nil {
+					return 0, err
+				}
+				for i, s := range c.args {
+					if i < len(c.callee.params) {
+						callee.regs[c.callee.params[i]] = regs[s]
 					}
 				}
-			} else {
-				ex.recordInspect(addr, true)
-			}
-			if err := ex.checkSpace(fr, addr, true); err != nil {
-				return nil, 0, false, err
-			}
-			seg, serr := ex.segForAccess(addr, instr.Size)
-			if serr != nil {
-				return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: serr.Error()}
-			}
-			seg.Store(addr, instr.Size, ex.evalOp(fr, &ops[1]))
-			if !inspecting && !ex.inScratch(addr) {
-				blockSC[ii] = segCache{seg: seg, gen: in.Mach.Gen()}
-				if ex.race != nil {
-					ex.race.record(addr, instr.Size)
+				v, err := ex.invoke(callee)
+				if err != nil {
+					return 0, err
 				}
-			}
+				if c.dst >= 0 {
+					regs[c.dst] = v
+				}
+				ex.ops += 5
+				if pf != nil {
+					pf.extra[pc] += 5
+				}
+				pc++
+				continue segments
 
-		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
-			ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
-			ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
-			x := ex.evalOp(fr, &ops[0])
-			y := ex.evalOp(fr, &ops[1])
-			v, err := arith(instr, x, y)
-			if err != nil {
-				return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: err.Error()}
-			}
-			fr.regs[instr.Reg] = v
+			case opIntrinsic:
+				ex.ops += int64(c.cost)
+				if pf != nil {
+					pf.runs[pc]++
+				}
+				v, cost, err := ex.intrinsic(cf, c, regs)
+				if err != nil {
+					return 0, err
+				}
+				if c.dst >= 0 {
+					regs[c.dst] = v
+				}
+				ex.ops += cost
+				if pf != nil {
+					pf.extra[pc] += cost
+				}
+				pc++
+				continue segments
 
-		case ir.OpIToF:
-			fr.regs[instr.Reg] = ir.F2B(float64(int64(ex.evalOp(fr, &ops[0]))))
-		case ir.OpFToI:
-			fr.regs[instr.Reg] = uint64(int64(ir.B2F(ex.evalOp(fr, &ops[0]))))
+			case opLaunch:
+				// Launch cost is charged by the machine.
+				ex.ops += int64(c.cost)
+				if ex.worker {
+					return 0, &Error{Fn: cf.fn.Name, Msg: "nested kernel launch"}
+				}
+				if err := ex.launch(c, regs); err != nil {
+					return 0, err
+				}
+				pc++
+				continue segments
 
-		case ir.OpCall:
-			args := make([]uint64, len(ops))
-			for i := range ops {
-				args[i] = ex.evalOp(fr, &ops[i])
-			}
-			v, err := ex.call(instr.Callee, args, gpu)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			if in.exited {
-				return nil, 0, true, nil
-			}
-			if instr.Reg >= 0 {
-				fr.regs[instr.Reg] = v
-			}
-			cost = 5
+			case opRet:
+				ex.ops += int64(c.cost)
+				if pf != nil {
+					pf.runs[pc]++
+				}
+				if c.a < 0 {
+					return 0, nil
+				}
+				return regs[c.a], nil
 
-		case ir.OpIntrinsic:
-			v, c, err := ex.intrinsic(fr, instr, ops)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			if instr.Reg >= 0 {
-				fr.regs[instr.Reg] = v
-			}
-			cost = c
+			case opBr:
+				ex.ops += int64(c.cost)
+				if pf != nil {
+					pf.runs[pc]++
+				}
+				pc = c.t0
+				continue segments
 
-		case ir.OpLaunch:
-			if gpu != nil {
-				return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: "nested kernel launch"}
-			}
-			if err := ex.launch(fr, instr, ops); err != nil {
-				return nil, 0, false, err
-			}
-			cost = 0 // launch cost charged by the machine
+			case opCondBr:
+				ex.ops += int64(c.cost)
+				if pf != nil {
+					pf.runs[pc]++
+				}
+				if regs[c.a] != 0 {
+					pc = c.t0
+				} else {
+					pc = c.t1
+				}
+				continue segments
 
-		case ir.OpRet:
-			if profBlk != nil {
-				profBlk[ii] += cost
+			default: // opInvalid
+				return 0, ex.fault(cf, pf, seg, pc, stop, cf.invalidErr(c))
 			}
-			ex.chargeWork(fr, cost)
-			if len(ops) > 0 {
-				return nil, ex.evalOp(fr, &ops[0]), true, nil
-			}
-			return nil, 0, true, nil
-
-		case ir.OpBr:
-			if profBlk != nil {
-				profBlk[ii] += cost
-			}
-			ex.chargeWork(fr, cost)
-			return instr.Targets[0], 0, false, nil
-
-		case ir.OpCondBr:
-			if profBlk != nil {
-				profBlk[ii] += cost
-			}
-			ex.chargeWork(fr, cost)
-			if ex.evalOp(fr, &ops[0]) != 0 {
-				return instr.Targets[0], 0, false, nil
-			}
-			return instr.Targets[1], 0, false, nil
-
-		default:
-			return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: "unknown opcode " + instr.Op.String()}
+			pc++
 		}
-		if profBlk != nil {
-			profBlk[ii] += cost
-		}
-		ex.chargeWork(fr, cost)
 	}
-	return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: "block " + blk.Name + " fell through without terminator"}
+}
+
+func b2i(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"sync/atomic"
 
 	"cgcm/internal/ir"
@@ -124,9 +123,10 @@ type Interp struct {
 	globalAddr map[*ir.Global]uint64 // host addresses
 	devAddr    map[*ir.Global]uint64 // device named regions
 
-	// compiled caches per-function operand descriptors (see compile.go).
-	// It is filled by the root context only; launches pre-compile every
-	// function reachable from the kernel so workers hit read-only.
+	// compiled caches each function's compiled code (see compile.go).
+	// It is filled by the root context only: compiling a function
+	// compiles everything it calls or launches, so workers only read
+	// compiled code.
 	compiled   map[*ir.Func]*compiledFunc
 	stepLimit  int64
 	depthLimit int
@@ -142,9 +142,6 @@ type Interp struct {
 	// the select itself — and only once per stepBatch refill.
 	ctx  context.Context
 	done <-chan struct{}
-
-	exited   bool
-	exitCode int64
 
 	// root executes CPU code; workers execute kernel thread chunks.
 	root    *exec
@@ -241,7 +238,7 @@ func (in *Interp) Run() (int64, error) {
 	in.stepLimit = in.maxSteps()
 	in.depthLimit = in.maxDepth()
 	if f := in.Mod.Func("__cgcm_init"); f != nil {
-		if _, err := in.root.call(f, nil, nil); err != nil {
+		if _, err := in.root.call(in.compile(f), nil); err != nil {
 			in.emitFault(err)
 			return 0, err
 		}
@@ -250,16 +247,13 @@ func (in *Interp) Run() (int64, error) {
 	if mainFn == nil {
 		return 0, &Error{Fn: "main", Msg: "module has no main"}
 	}
-	ret, err := in.root.call(mainFn, nil, nil)
+	ret, err := in.root.call(in.compile(mainFn), nil)
 	if err != nil {
 		in.emitFault(err)
 		return 0, err
 	}
 	in.root.flushOps()
 	in.Mach.Sync()
-	if in.exited {
-		return in.exitCode, nil
-	}
 	return int64(ret), nil
 }
 
@@ -275,35 +269,6 @@ func (in *Interp) emitFault(err error) {
 	})
 }
 
-// gpuCtx is per-thread kernel execution context.
-type gpuCtx struct {
-	tid, ntid int64
-	ops       *int64
-	// hostMem makes the thread resolve memory against CPU space: set for
-	// inspector launches (the oracle's transfers are assumed perfect) and
-	// for CPU-fallback launches after device degradation.
-	hostMem bool
-	// inspect is set in Inspector mode: touched allocation units are
-	// recorded. inspect implies hostMem.
-	inspect bool
-}
-
-type frame struct {
-	fn      *ir.Func
-	cf      *compiledFunc
-	regs    []uint64
-	allocas []uint64 // CPU-frame allocation unit bases (root context only)
-	gpu     *gpuCtx
-	// allocaCache reuses a slot when the same alloca re-executes in one
-	// frame (C scope re-entry semantics; keeps loop-local declarations
-	// from growing the segment table).
-	allocaCache map[*ir.Instr]uint64
-	// scratchMark/scratchLen snapshot the worker scratch allocator at
-	// frame entry so popAllocas can unwind kernel allocas in O(1).
-	scratchMark uint64
-	scratchLen  int
-}
-
 func (in *Interp) maxDepth() int {
 	if in.Lim.MaxCallDepth > 0 {
 		return in.Lim.MaxCallDepth
@@ -316,84 +281,4 @@ func (in *Interp) maxSteps() int64 {
 		return in.Lim.MaxSteps
 	}
 	return DefaultLimits.MaxSteps
-}
-
-func arith(instr *ir.Instr, x, y uint64) (uint64, error) {
-	if instr.Float {
-		a, b := ir.B2F(x), ir.B2F(y)
-		switch instr.Op {
-		case ir.OpAdd:
-			return ir.F2B(a + b), nil
-		case ir.OpSub:
-			return ir.F2B(a - b), nil
-		case ir.OpMul:
-			return ir.F2B(a * b), nil
-		case ir.OpDiv:
-			return ir.F2B(a / b), nil
-		case ir.OpRem:
-			return ir.F2B(math.Mod(a, b)), nil
-		case ir.OpEq:
-			return b2i(a == b), nil
-		case ir.OpNe:
-			return b2i(a != b), nil
-		case ir.OpLt:
-			return b2i(a < b), nil
-		case ir.OpLe:
-			return b2i(a <= b), nil
-		case ir.OpGt:
-			return b2i(a > b), nil
-		case ir.OpGe:
-			return b2i(a >= b), nil
-		}
-		return 0, fmt.Errorf("float op %s unsupported", instr.Op)
-	}
-	a, b := int64(x), int64(y)
-	switch instr.Op {
-	case ir.OpAdd:
-		return uint64(a + b), nil
-	case ir.OpSub:
-		return uint64(a - b), nil
-	case ir.OpMul:
-		return uint64(a * b), nil
-	case ir.OpDiv:
-		if b == 0 {
-			return 0, fmt.Errorf("integer division by zero")
-		}
-		return uint64(a / b), nil
-	case ir.OpRem:
-		if b == 0 {
-			return 0, fmt.Errorf("integer remainder by zero")
-		}
-		return uint64(a % b), nil
-	case ir.OpAnd:
-		return x & y, nil
-	case ir.OpOr:
-		return x | y, nil
-	case ir.OpXor:
-		return x ^ y, nil
-	case ir.OpShl:
-		return x << (y & 63), nil
-	case ir.OpShr:
-		return uint64(a >> (y & 63)), nil
-	case ir.OpEq:
-		return b2i(a == b), nil
-	case ir.OpNe:
-		return b2i(a != b), nil
-	case ir.OpLt:
-		return b2i(a < b), nil
-	case ir.OpLe:
-		return b2i(a <= b), nil
-	case ir.OpGt:
-		return b2i(a > b), nil
-	case ir.OpGe:
-		return b2i(a >= b), nil
-	}
-	return 0, fmt.Errorf("int op %s unsupported", instr.Op)
-}
-
-func b2i(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -10,12 +10,13 @@ import (
 
 // intrinsic dispatches an OpIntrinsic instruction. It returns the result
 // bits and the op cost to charge to the executing context.
-func (ex *exec) intrinsic(fr *frame, instr *ir.Instr, ops []operand) (uint64, int64, error) {
+func (ex *exec) intrinsic(cf *compiledFunc, c *inst, regs []uint64) (uint64, int64, error) {
 	in := ex.in
-	a := func(i int) uint64 { return ex.evalOp(fr, &ops[i]) }
-	af := func(i int) float64 { return ir.B2F(ex.evalOp(fr, &ops[i])) }
+	instr := c.src
+	a := func(i int) uint64 { return regs[c.args[i]] }
+	af := func(i int) float64 { return ir.B2F(regs[c.args[i]]) }
 	ff := func(v float64) uint64 { return ir.F2B(v) }
-	onGPU := fr.gpu != nil && !fr.gpu.inspect
+	onGPU := ex.worker && ex.insp == nil
 
 	switch instr.Name {
 	// --- Heap (CPU only; sema enforces) ---
@@ -27,26 +28,26 @@ func (ex *exec) intrinsic(fr *frame, instr *ir.Instr, ops []operand) (uint64, in
 		ex.flushOps()
 		in.RT.SiteLine = int(instr.Line)
 		p, err := in.RT.Calloc(int64(a(0)), int64(a(1)))
-		return p, 8, ex.wrapErr(fr, err)
+		return p, 8, ex.wrapErr(cf, err)
 	case "realloc":
 		ex.flushOps()
 		in.RT.SiteLine = int(instr.Line)
 		p, err := in.RT.Realloc(a(0), int64(a(1)))
-		return p, 8, ex.wrapErr(fr, err)
+		return p, 8, ex.wrapErr(cf, err)
 	case "free":
 		ex.flushOps()
-		return 0, 8, ex.wrapErr(fr, in.RT.Free(a(0)))
+		return 0, 8, ex.wrapErr(cf, in.RT.Free(a(0)))
 
 	// --- Strings ---
 	case "strlen":
 		ptr := a(0)
 		n := int64(0)
 		for {
-			c, err := ex.memLoad(fr, ptr+uint64(n), 1)
+			ch, err := ex.memLoad(cf, ptr+uint64(n), 1)
 			if err != nil {
 				return 0, 0, err
 			}
-			if c == 0 {
+			if ch == 0 {
 				break
 			}
 			n++
@@ -116,7 +117,7 @@ func (ex *exec) intrinsic(fr *frame, instr *ir.Instr, ops []operand) (uint64, in
 		fmt.Fprintf(ex.out, "%.6g\n", af(0))
 		return 0, 4, nil
 	case "print_str":
-		s, err := ex.cString(fr, a(0))
+		s, err := ex.cString(cf, a(0))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -125,15 +126,15 @@ func (ex *exec) intrinsic(fr *frame, instr *ir.Instr, ops []operand) (uint64, in
 
 	// --- GPU thread identity ---
 	case "tid":
-		if fr.gpu == nil {
-			return 0, 0, &Error{Fn: fr.fn.Name, Msg: "tid() outside kernel"}
+		if !ex.worker {
+			return 0, 0, &Error{Fn: cf.fn.Name, Msg: "tid() outside kernel"}
 		}
-		return uint64(fr.gpu.tid), 1, nil
+		return uint64(ex.tid), 1, nil
 	case "ntid":
-		if fr.gpu == nil {
-			return 0, 0, &Error{Fn: fr.fn.Name, Msg: "ntid() outside kernel"}
+		if !ex.worker {
+			return 0, 0, &Error{Fn: cf.fn.Name, Msg: "ntid() outside kernel"}
 		}
-		return uint64(fr.gpu.ntid), 1, nil
+		return uint64(ex.ntid), 1, nil
 
 	// --- Manual communication (CUDA driver style, Listing 1) ---
 	case "cuda_malloc":
@@ -143,71 +144,71 @@ func (ex *exec) intrinsic(fr *frame, instr *ir.Instr, ops []operand) (uint64, in
 		return base, 0, nil
 	case "cuda_free":
 		ex.flushOps()
-		return 0, 0, ex.wrapErr(fr, in.Mach.Free(machine.GPU, a(0)))
+		return 0, 0, ex.wrapErr(cf, in.Mach.Free(machine.GPU, a(0)))
 	case "cuda_memcpy_h2d":
 		ex.flushOps()
-		return 0, 0, ex.wrapErr(fr, in.Mach.CopyHtoD(a(0), a(1), int64(a(2))))
+		return 0, 0, ex.wrapErr(cf, in.Mach.CopyHtoD(a(0), a(1), int64(a(2))))
 	case "cuda_memcpy_d2h":
 		ex.flushOps()
-		return 0, 0, ex.wrapErr(fr, in.Mach.CopyDtoH(a(0), a(1), int64(a(2))))
+		return 0, 0, ex.wrapErr(cf, in.Mach.CopyDtoH(a(0), a(1), int64(a(2))))
 
 	// --- CGCM runtime library ---
 	case "cgcm.map":
 		if onGPU {
-			return 0, 0, &Error{Fn: fr.fn.Name, Msg: "cgcm.map on GPU"}
+			return 0, 0, &Error{Fn: cf.fn.Name, Msg: "cgcm.map on GPU"}
 		}
 		ex.flushOps()
 		t0 := ex.profRTEnter(instr)
 		p, err := in.RT.Map(a(0))
 		ex.profRTExit(instr, t0)
-		return p, 0, ex.wrapErr(fr, err)
+		return p, 0, ex.wrapErr(cf, err)
 	case "cgcm.mapAsync":
 		if onGPU {
-			return 0, 0, &Error{Fn: fr.fn.Name, Msg: "cgcm.mapAsync on GPU"}
+			return 0, 0, &Error{Fn: cf.fn.Name, Msg: "cgcm.mapAsync on GPU"}
 		}
 		ex.flushOps()
 		t0 := ex.profRTEnter(instr)
 		p, err := in.RT.MapAsync(a(0))
 		ex.profRTExit(instr, t0)
-		return p, 0, ex.wrapErr(fr, err)
+		return p, 0, ex.wrapErr(cf, err)
 	case "cgcm.unmap":
 		ex.flushOps()
 		t0 := ex.profRTEnter(instr)
 		err := in.RT.Unmap(a(0))
 		ex.profRTExit(instr, t0)
-		return 0, 0, ex.wrapErr(fr, err)
+		return 0, 0, ex.wrapErr(cf, err)
 	case "cgcm.unmapAsync":
 		ex.flushOps()
 		t0 := ex.profRTEnter(instr)
 		err := in.RT.UnmapAsync(a(0))
 		ex.profRTExit(instr, t0)
-		return 0, 0, ex.wrapErr(fr, err)
+		return 0, 0, ex.wrapErr(cf, err)
 	case "cgcm.release":
 		ex.flushOps()
 		t0 := ex.profRTEnter(instr)
 		err := in.RT.Release(a(0))
 		ex.profRTExit(instr, t0)
-		return 0, 0, ex.wrapErr(fr, err)
+		return 0, 0, ex.wrapErr(cf, err)
 	case "cgcm.mapArray":
 		ex.flushOps()
 		t0 := ex.profRTEnter(instr)
 		p, err := in.RT.MapArray(a(0))
 		ex.profRTExit(instr, t0)
-		return p, 0, ex.wrapErr(fr, err)
+		return p, 0, ex.wrapErr(cf, err)
 	case "cgcm.unmapArray":
 		ex.flushOps()
 		t0 := ex.profRTEnter(instr)
 		err := in.RT.UnmapArray(a(0))
 		ex.profRTExit(instr, t0)
-		return 0, 0, ex.wrapErr(fr, err)
+		return 0, 0, ex.wrapErr(cf, err)
 	case "cgcm.releaseArray":
 		ex.flushOps()
 		t0 := ex.profRTEnter(instr)
 		err := in.RT.ReleaseArray(a(0))
 		ex.profRTExit(instr, t0)
-		return 0, 0, ex.wrapErr(fr, err)
+		return 0, 0, ex.wrapErr(cf, err)
 	}
-	return 0, 0, &Error{Fn: fr.fn.Name, Msg: "unknown intrinsic " + instr.Name}
+	return 0, 0, &Error{Fn: cf.fn.Name, Msg: "unknown intrinsic " + instr.Name}
 }
 
 // profRTEnter prepares attribution for one cgcm.* runtime-library call:
@@ -233,11 +234,11 @@ func (ex *exec) profRTExit(instr *ir.Instr, t0 float64) {
 	in.Prof.AddRuntime(instr.Name, int(instr.Line), in.Mach.Now()-t0)
 }
 
-func (ex *exec) wrapErr(fr *frame, err error) error {
+func (ex *exec) wrapErr(cf *compiledFunc, err error) error {
 	if err == nil {
 		return nil
 	}
-	return &Error{Fn: fr.fn.Name, Msg: err.Error()}
+	return &Error{Fn: cf.fn.Name, Msg: err.Error()}
 }
 
 func (ex *exec) nextRand() uint64 {
@@ -249,10 +250,10 @@ func (ex *exec) nextRand() uint64 {
 	return x
 }
 
-func (ex *exec) cString(fr *frame, ptr uint64) (string, error) {
+func (ex *exec) cString(cf *compiledFunc, ptr uint64) (string, error) {
 	var out []byte
 	for {
-		c, err := ex.memLoad(fr, ptr+uint64(len(out)), 1)
+		c, err := ex.memLoad(cf, ptr+uint64(len(out)), 1)
 		if err != nil {
 			return "", err
 		}
@@ -261,7 +262,7 @@ func (ex *exec) cString(fr *frame, ptr uint64) (string, error) {
 		}
 		out = append(out, byte(c))
 		if len(out) > 1<<20 {
-			return "", &Error{Fn: fr.fn.Name, Msg: "unterminated string"}
+			return "", &Error{Fn: cf.fn.Name, Msg: "unterminated string"}
 		}
 	}
 }

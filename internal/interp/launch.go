@@ -7,29 +7,28 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cgcm/internal/ir"
 	"cgcm/internal/machine"
 	"cgcm/internal/trace"
 )
 
 // launch executes an OpLaunch instruction according to the launch mode.
-func (ex *exec) launch(fr *frame, instr *ir.Instr, ops []operand) error {
+func (ex *exec) launch(c *inst, regs []uint64) error {
 	in := ex.in
-	grid := int64(ex.evalOp(fr, &ops[0]))
-	blockDim := int64(ex.evalOp(fr, &ops[1]))
+	grid := int64(regs[c.args[0]])
+	blockDim := int64(regs[c.args[1]])
 	threads := grid * blockDim
 	if threads <= 0 {
 		threads = 1
 	}
-	args := make([]uint64, len(ops)-2)
+	args := make([]uint64, len(c.args)-2)
 	for i := range args {
-		args[i] = ex.evalOp(fr, &ops[i+2])
+		args[i] = regs[c.args[i+2]]
 	}
 	ex.flushOps()
 	if in.Mode == Inspector {
-		return in.launchInspector(instr.Callee, int(instr.Line), threads, args)
+		return in.launchInspector(c.callee, int(c.src.Line), threads, args)
 	}
-	return in.launchManaged(instr.Callee, int(instr.Line), threads, args)
+	return in.launchManaged(c.callee, int(c.src.Line), threads, args)
 }
 
 // launchManaged runs every thread against GPU memory and charges one
@@ -38,13 +37,13 @@ func (ex *exec) launch(fr *frame, instr *ir.Instr, ops []operand) error {
 // call itself can fail: transient faults retry inside PreLaunch, and a
 // persistent failure degrades the device, after which this launch (and
 // every later one) executes on the CPU instead.
-func (in *Interp) launchManaged(kernel *ir.Func, line int, threads int64, args []uint64) error {
+func (in *Interp) launchManaged(kernel *compiledFunc, line int, threads int64, args []uint64) error {
 	// Kernel-launch boundary: a canceled run stops here before paying
 	// for another grid, the abort point the service deadline promises.
-	if err := in.checkCancel(kernel.Name); err != nil {
+	if err := in.checkCancel(kernel.fn.Name); err != nil {
 		return err
 	}
-	if err := in.RT.PreLaunch(kernel.Name); err != nil {
+	if err := in.RT.PreLaunch(kernel.fn.Name); err != nil {
 		return err
 	}
 	if in.RT.Degraded() {
@@ -55,7 +54,7 @@ func (in *Interp) launchManaged(kernel *ir.Func, line int, threads int64, args [
 	if err != nil {
 		return err
 	}
-	in.Mach.LaunchKernelAt(kernel.Name, line, threads, res.totalOps, res.maxOps, in.RT.TakeLaunchWaits()...)
+	in.Mach.LaunchKernelAt(kernel.fn.Name, line, threads, res.totalOps, res.maxOps, in.RT.TakeLaunchWaits()...)
 	return nil
 }
 
@@ -66,7 +65,7 @@ func (in *Interp) launchManaged(kernel *ir.Func, line int, threads int64, args [
 // Threads run functionally against host memory and the machine charges
 // sequential CPU execution, so the program's output is bit-identical to
 // a fault-free run; only the schedule differs.
-func (in *Interp) launchFallback(kernel *ir.Func, line int, threads int64, args []uint64) error {
+func (in *Interp) launchFallback(kernel *compiledFunc, line int, threads int64, args []uint64) error {
 	in.RT.KernelLaunched()
 	targs := make([]uint64, len(args))
 	for i, a := range args {
@@ -81,7 +80,7 @@ func (in *Interp) launchFallback(kernel *ir.Func, line int, threads int64, args 
 	if err != nil {
 		return err
 	}
-	in.Mach.RunKernelOnCPUAt(kernel.Name, line, res.totalOps)
+	in.Mach.RunKernelOnCPUAt(kernel.fn.Name, line, res.totalOps)
 	in.RT.NoteFallbackKernel()
 	return nil
 }
@@ -95,8 +94,8 @@ func (in *Interp) launchFallback(kernel *ir.Func, line int, threads int64, args 
 // touched allocation unit in each direction; execution then occupies the
 // GPU timeline. Functionally, threads run against host memory — the
 // oracle's transfers are assumed perfect.
-func (in *Interp) launchInspector(kernel *ir.Func, line int, threads int64, args []uint64) error {
-	if err := in.checkCancel(kernel.Name); err != nil {
+func (in *Interp) launchInspector(kernel *compiledFunc, line int, threads int64, args []uint64) error {
+	if err := in.checkCancel(kernel.fn.Name); err != nil {
 		return err
 	}
 	in.RT.KernelLaunched()
@@ -113,7 +112,7 @@ func (in *Interp) launchInspector(kernel *ir.Func, line int, threads int64, args
 	for i := 0; i < res.inspTouched; i++ {
 		in.Mach.ChargeTransfer(trace.KindHtoD, 1)
 	}
-	in.Mach.LaunchKernelAt(kernel.Name, line, threads, res.totalOps, res.maxOps)
+	in.Mach.LaunchKernelAt(kernel.fn.Name, line, threads, res.totalOps, res.maxOps)
 	for i := 0; i < res.inspWrote; i++ {
 		in.Mach.ChargeTransfer(trace.KindDtoH, 1)
 	}
@@ -152,37 +151,21 @@ func (in *Interp) workerCtx(i int) *exec {
 	return in.workers[i]
 }
 
-// compileReachable precompiles kernel and everything it can call, so
-// worker goroutines only ever read the compiled-function cache.
-func (in *Interp) compileReachable(f *ir.Func) {
-	seen := make(map[*ir.Func]bool)
-	var visit func(*ir.Func)
-	visit = func(g *ir.Func) {
-		if g == nil || seen[g] {
-			return
-		}
-		seen[g] = true
-		in.compile(g)
-		g.Instrs(func(instr *ir.Instr) {
-			if instr.Op == ir.OpCall || instr.Op == ir.OpLaunch {
-				visit(instr.Callee)
-			}
-		})
-	}
-	visit(f)
-}
-
 // callRecover runs one kernel thread, converting any panic in
 // interpreter internals into a typed execution error. Worker goroutines
 // must never let a panic escape: it would kill the process instead of
 // surfacing through the launch's deterministic fault merge.
-func (ex *exec) callRecover(f *ir.Func, args []uint64, ctx *gpuCtx) (err error) {
+func (ex *exec) callRecover(cf *compiledFunc, args []uint64) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = &Error{Fn: f.Name, Msg: fmt.Sprintf("internal: panic in kernel thread %d: %v", ctx.tid, p)}
+			err = &Error{Fn: cf.fn.Name, Msg: fmt.Sprintf("internal: panic in kernel thread %d: %v", ex.tid, p)}
+			// The panic skipped the frame pops: restore the state every
+			// thread starts from.
+			ex.depth, ex.scratchNext = ex.launchDepth, ex.scratchBase
+			ex.popScratch(0)
 		}
 	}()
-	_, err = ex.call(f, args, ctx)
+	_, err = ex.call(cf, args)
 	return
 }
 
@@ -212,8 +195,7 @@ func threadSeed(seed uint64, tid int64) uint64 {
 //   - if any threads faulted, the lowest thread id wins, exactly the
 //     fault sequential execution reports (workers skip threads above the
 //     current minimum faulting tid, so every lower thread still runs).
-func (in *Interp) runGrid(kernel *ir.Func, line int, threads int64, args []uint64, hostMem, inspect bool) (gridResult, error) {
-	in.compileReachable(kernel)
+func (in *Interp) runGrid(kernel *compiledFunc, line int, threads int64, args []uint64, hostMem, inspect bool) (gridResult, error) {
 	nw := in.numWorkers()
 	if int64(nw) > threads {
 		nw = int(threads)
@@ -234,7 +216,7 @@ func (in *Interp) runGrid(kernel *ir.Func, line int, threads int64, args []uint6
 	depth := in.root.depth
 
 	run := func(ex *exec) {
-		ex.beginLaunch(hostMem, inspect, depth)
+		ex.beginLaunch(hostMem, inspect, depth, threads)
 		for {
 			ci := next.Add(1) - 1
 			if ci >= nChunks {
@@ -258,9 +240,8 @@ func (in *Interp) runGrid(kernel *ir.Func, line int, threads int64, args []uint6
 				if ex.race != nil {
 					ex.race.tid = t
 				}
-				var ops int64
-				ctx := &gpuCtx{tid: t, ntid: threads, ops: &ops, hostMem: hostMem, inspect: inspect}
-				if err := ex.callRecover(kernel, args, ctx); err != nil {
+				ex.tid, ex.ops = t, 0
+				if err := ex.callRecover(kernel, args); err != nil {
 					faultMu.Lock()
 					faults = append(faults, threadFault{t, err})
 					faultMu.Unlock()
@@ -272,9 +253,9 @@ func (in *Interp) runGrid(kernel *ir.Func, line int, threads int64, args []uint6
 					}
 					break
 				}
-				ex.totalOps += ops
-				if ops > ex.maxOps {
-					ex.maxOps = ops
+				ex.totalOps += ex.ops
+				if ex.ops > ex.maxOps {
+					ex.maxOps = ex.ops
 				}
 			}
 		}
@@ -305,7 +286,7 @@ func (in *Interp) runGrid(kernel *ir.Func, line int, threads int64, args []uint6
 	// happens even on a fault so partial work is still attributed.
 	if in.Prof != nil {
 		for _, ex := range ws {
-			ex.foldProf(in.Prof, kernel.Name, line)
+			ex.foldProf(in.Prof, kernel.fn.Name, line)
 		}
 	}
 
@@ -325,10 +306,10 @@ func (in *Interp) runGrid(kernel *ir.Func, line int, threads int64, args []uint6
 				if inspect {
 					prefix = "inspector kernel"
 				}
-				return gridResult{}, fmt.Errorf("%s %s, thread %d: %w", prefix, kernel.Name, f.tid, f.err)
+				return gridResult{}, fmt.Errorf("%s %s, thread %d: %w", prefix, kernel.fn.Name, f.tid, f.err)
 			}
 		}
-		return gridResult{}, &Error{Fn: kernel.Name, Msg: "internal: faulting thread vanished during merge"}
+		return gridResult{}, &Error{Fn: kernel.fn.Name, Msg: "internal: faulting thread vanished during merge"}
 	}
 
 	var res gridResult
@@ -362,7 +343,7 @@ func (in *Interp) runGrid(kernel *ir.Func, line int, threads int64, args []uint6
 		}
 	}
 	if in.RaceCheck && !inspect {
-		in.Races = append(in.Races, sweepRaces(kernel.Name, raceLogs)...)
+		in.Races = append(in.Races, sweepRaces(kernel.fn.Name, raceLogs)...)
 	}
 	return res, nil
 }

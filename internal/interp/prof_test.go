@@ -67,12 +67,12 @@ func runKernelProgram(t *testing.T, col *prof.Collector) (*Interp, *machine.Mach
 // state — the kernel hot path pays only a nil check.
 func TestProfDisabledAllocatesNothing(t *testing.T) {
 	in, _ := runKernelProgram(t, nil)
-	if in.root.profCounts != nil {
-		t.Fatalf("root context allocated profCounts with profiling disabled")
+	if in.root.prof != nil {
+		t.Fatalf("root context allocated profile counters with profiling disabled")
 	}
 	for i, ex := range in.workers {
-		if ex.profCounts != nil {
-			t.Fatalf("worker %d allocated profCounts with profiling disabled", i)
+		if ex.prof != nil {
+			t.Fatalf("worker %d allocated profile counters with profiling disabled", i)
 		}
 	}
 }
@@ -105,11 +105,14 @@ func TestProfCountsAreExact(t *testing.T) {
 	}
 	// Post-launch folds zero every counter.
 	for _, ex := range append([]*exec{in.root}, in.workers...) {
-		for _, blocks := range ex.profCounts {
-			for _, counts := range blocks {
-				for ii, n := range counts {
+		for _, pf := range ex.prof {
+			if pf == nil {
+				continue
+			}
+			for _, counts := range [][]int64{pf.runs, pf.extra} {
+				for pc, n := range counts {
 					if n != 0 {
-						t.Fatalf("counter %d not zeroed after fold (%d)", ii, n)
+						t.Fatalf("counter %d not zeroed after fold (%d)", pc, n)
 					}
 				}
 			}

@@ -50,6 +50,10 @@ type cacheEntry struct {
 	done chan struct{}
 	prog *core.Program
 	err  error
+	// canceled marks a compile cut short by its leader's context: it
+	// says nothing about the source, so it is not cached and waiters
+	// whose own context is live compile again.
+	canceled bool
 }
 
 // compileCache is the singleflight compilation cache. Entries persist
@@ -78,14 +82,22 @@ func newCompileCache() *compileCache {
 //
 // Failed compilations are cached too: a source that does not compile
 // does not compile, and the herd should learn that once. ctx aborts
-// only this caller's wait, never the shared compile.
+// only this caller's wait. compile runs under the leader's context, so
+// a compile that context canceled is dropped from the cache, and a
+// waiter whose own context is still live compiles again.
 func (c *compileCache) get(ctx context.Context, key string, compile func() (*core.Program, error)) (prog *core.Program, cached bool, err error) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok {
+	for {
+		c.mu.Lock()
+		e, ok := c.entries[key]
+		if !ok {
+			break
+		}
 		c.mu.Unlock()
 		select {
 		case <-e.done:
+			if e.canceled && ctx.Err() == nil {
+				continue // the leader dropped it; compile again
+			}
 			c.hits.Add(1)
 			return e.prog, true, e.err
 		default:
@@ -93,16 +105,24 @@ func (c *compileCache) get(ctx context.Context, key string, compile func() (*cor
 		c.dedups.Add(1)
 		select {
 		case <-e.done:
-			return e.prog, false, e.err
+			if !e.canceled || ctx.Err() != nil {
+				return e.prog, false, e.err
+			}
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
 	}
-	e = &cacheEntry{done: make(chan struct{})}
+	e := &cacheEntry{done: make(chan struct{})}
 	c.entries[key] = e
 	c.mu.Unlock()
 	c.misses.Add(1)
 	e.prog, e.err = compile()
+	if e.err != nil && ctx.Err() != nil {
+		e.canceled = true
+		c.mu.Lock()
+		delete(c.entries, key)
+		c.mu.Unlock()
+	}
 	close(e.done)
 	return e.prog, false, e.err
 }

@@ -131,3 +131,50 @@ func TestCacheWaiterCancellation(t *testing.T) {
 		t.Fatalf("post-cancel get: prog=%v err=%v", prog, err)
 	}
 }
+
+// TestCacheLeaderCancellationNotCached: a compile its leader's context
+// canceled is not a verdict on the source. A waiter with a live context
+// compiles again instead of inheriting the cancellation, and the
+// cancellation is never served from the cache.
+func TestCacheLeaderCancellationNotCached(t *testing.T) {
+	c := newCompileCache()
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	leaderDone := make(chan error)
+	go func() {
+		_, _, err := c.get(leaderCtx, "k", func() (*core.Program, error) {
+			close(started)
+			<-gate
+			return nil, leaderCtx.Err()
+		})
+		leaderDone <- err
+	}()
+	<-started
+	var compiles atomic.Int32
+	waiterDone := make(chan error)
+	go func() {
+		prog, _, err := c.get(context.Background(), "k", func() (*core.Program, error) {
+			compiles.Add(1)
+			return core.Compile("p.c", tinyProg, core.Options{Strategy: core.CGCMOptimized})
+		})
+		if err == nil && prog == nil {
+			err = errors.New("nil program")
+		}
+		waiterDone <- err
+	}()
+	cancelLeader()
+	close(gate)
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	if err := <-waiterDone; err != nil {
+		t.Fatalf("waiter inherited the leader's cancellation: %v", err)
+	}
+	if n := compiles.Load(); n != 1 {
+		t.Fatalf("waiter compiled %d times, want 1", n)
+	}
+	if prog, cached, err := c.get(context.Background(), "k", nil); err != nil || prog == nil || !cached {
+		t.Fatalf("later get: prog=%v cached=%v err=%v", prog, cached, err)
+	}
+}
